@@ -2,7 +2,7 @@
 //
 // Grounds the simulator's cost-model constants and the Table 2 / Figure 12
 // results: AES-GCM sealing at record sizes, SHA-256, HKDF expansion, P-256
-// ECDH and ECDSA operations.
+// ECDH and ECDSA operations, and the mod-n inverse inside ECDSA.
 #include <benchmark/benchmark.h>
 
 #include "common/bytes.hpp"
@@ -94,5 +94,17 @@ static void BM_EcdsaVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EcdsaVerify);
+
+// The mod-n inverse ECDSA takes once per sign (k^-1) and once per verify
+// (s^-1), in Montgomery form.
+static void BM_ModInvN(benchmark::State& state) {
+  HmacDrbg drbg(to_bytes(std::string_view("bench")));
+  const auto kp = ecdsa_keypair_from_seed(drbg.generate(32));
+  const U256 k = to_mont<kOrderN>(kp.private_key);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mont_inv<kOrderN>(k));
+  }
+}
+BENCHMARK(BM_ModInvN);
 
 BENCHMARK_MAIN();

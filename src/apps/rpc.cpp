@@ -40,6 +40,19 @@ std::optional<Bytes> extract_frame(Bytes& buffer) {
   std::abort();
 }
 
+/// Handshake steps and session set-up are checked in every build type: a
+/// failure must abort the run, not continue with unchecked keys.
+void require_ok(const Status& st, const char* step) {
+  if (!st.ok()) {
+    fail_config(make_error(st.code(), std::string(step) + ": " + st.message()));
+  }
+}
+
+template <typename T>
+void require_ok(const Result<T>& r, const char* step) {
+  if (!r.ok()) require_ok(Status(r.error()), step);
+}
+
 }  // namespace
 
 const char* transport_name(TransportKind kind) noexcept {
@@ -287,14 +300,13 @@ void RpcFabric::establish_keys() {
   tls::ClientHandshake client_hs(cc, rng_);
   tls::ServerHandshake server_hs(sc, rng_);
   auto f1 = client_hs.start();
-  assert(f1.ok());
+  require_ok(f1, "TLS handshake: client start");
   auto sf = server_hs.on_client_flight(f1.value());
-  assert(sf.ok());
+  require_ok(sf, "TLS handshake: server flight");
   auto f2 = client_hs.on_server_flight(sf.value());
-  assert(f2.ok());
-  const Status done = server_hs.on_client_finished(f2.value());
-  assert(done.ok());
-  (void)done;
+  require_ok(f2, "TLS handshake: client finished");
+  require_ok(server_hs.on_client_finished(f2.value()),
+             "TLS handshake: server finished");
 
   suite_ = client_hs.secrets().suite;
   client_tx_keys_ = client_hs.secrets().client_keys;
@@ -334,10 +346,9 @@ void RpcFabric::setup_transports() {
       ktls_server_ = std::make_unique<baselines::KtlsEndpoint>(
           *server_host_, kServerPort, kc);
       ktls_server_->set_on_accept([this](std::uint64_t conn) {
-        const Status st = ktls_server_->register_session(
-            conn, suite_, server_tx_keys_, client_tx_keys_);
-        assert(st.ok());
-        (void)st;
+        require_ok(ktls_server_->register_session(conn, suite_, server_tx_keys_,
+                                                  client_tx_keys_),
+                   "kTLS server register_session");
       });
       ktls_server_->set_on_data([this](std::uint64_t conn, Bytes data) {
         on_server_stream_data(conn, std::move(data));
@@ -440,15 +451,14 @@ void RpcFabric::setup_transports() {
         }
         node.smt =
             std::make_unique<proto::SmtEndpoint>(*node.host, kClientPort, pc);
-        Status st = node.smt->register_session(
-            transport::PeerAddr{server_ip_, kServerPort}, suite_,
-            client_tx_keys_, server_tx_keys_);
-        assert(st.ok());
-        st = smt_server_->register_session(
-            transport::PeerAddr{node.ip, kClientPort}, suite_,
-            server_tx_keys_, client_tx_keys_);
-        assert(st.ok());
-        (void)st;
+        require_ok(node.smt->register_session(
+                       transport::PeerAddr{server_ip_, kServerPort}, suite_,
+                       client_tx_keys_, server_tx_keys_),
+                   "SMT client register_session");
+        require_ok(smt_server_->register_session(
+                       transport::PeerAddr{node.ip, kClientPort}, suite_,
+                       server_tx_keys_, client_tx_keys_),
+                   "SMT server register_session");
         node.smt->set_on_message(
             [this](proto::SmtEndpoint::MessageMeta, Bytes data) {
               if (data.size() < 8) return;
@@ -525,9 +535,8 @@ void RpcFabric::on_server_stream_data(std::uint64_t conn, Bytes data) {
           if (config_.kind == TransportKind::tcp) {
             tcp_server_->send(conn, framed, &core);
           } else {
-            const Status st = ktls_server_->send(conn, framed, &core);
-            assert(st.ok());
-            (void)st;
+            require_ok(ktls_server_->send(conn, framed, &core),
+                       "kTLS server send");
           }
         },
         core_hint);
@@ -592,11 +601,10 @@ RpcChannel::RpcChannel(RpcFabric& fabric, std::uint64_t channel_id,
     case TransportKind::tcpls: {
       stream_conn_ = node().ktls->connect(fabric_.server_ip_, kServerPort);
       node().stream_channels[stream_conn_] = this;
-      const Status st = node().ktls->register_session(
-          stream_conn_, fabric_.suite_, fabric_.client_tx_keys_,
-          fabric_.server_tx_keys_);
-      assert(st.ok());
-      (void)st;
+      require_ok(node().ktls->register_session(
+                     stream_conn_, fabric_.suite_, fabric_.client_tx_keys_,
+                     fabric_.server_tx_keys_),
+                 "kTLS client register_session");
       break;
     }
     default:
@@ -629,10 +637,8 @@ void RpcChannel::call(Bytes request, std::uint32_t resp_len,
     case TransportKind::ktls_sw:
     case TransportKind::ktls_hw:
     case TransportKind::tcpls: {
-      const Status st =
-          node().ktls->send(stream_conn_, frame_message(message), &core);
-      assert(st.ok());
-      (void)st;
+      require_ok(node().ktls->send(stream_conn_, frame_message(message), &core),
+                 "kTLS client send");
       break;
     }
     case TransportKind::homa: {

@@ -6,147 +6,58 @@ namespace smt::crypto {
 
 namespace {
 
-const U256 kP = U256::from_hex(
-    "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff");
-const U256 kN = U256::from_hex(
-    "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551");
-const U256 kB = U256::from_hex(
+constexpr U256 kB = U256::from_hex(
     "5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b");
-const U256 kGx = U256::from_hex(
+constexpr U256 kGx = U256::from_hex(
     "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296");
-const U256 kGy = U256::from_hex(
+constexpr U256 kGy = U256::from_hex(
     "4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5");
 
-/// Jacobian projective point: (X, Y, Z) with x = X/Z^2, y = Y/Z^3.
+// Field arithmetic modulo p. Everything below holds coordinates in
+// Montgomery form; conversion happens only at the public API boundary.
+U256 fp_add(const U256& a, const U256& b) noexcept {
+  return mont_add<kFieldP>(a, b);
+}
+U256 fp_sub(const U256& a, const U256& b) noexcept {
+  return mont_sub<kFieldP>(a, b);
+}
+U256 fp_mul(const U256& a, const U256& b) noexcept {
+  return mont_mul<kFieldP>(a, b);
+}
+U256 fp_sqr(const U256& a) noexcept { return mont_mul<kFieldP>(a, a); }
+
+constexpr U256 kBMont = to_mont<kFieldP>(kB);
+
+/// Affine point in Montgomery coordinates; never infinity.
+struct MontAffine {
+  U256 x, y;
+};
+
+/// Jacobian projective point in Montgomery coordinates: (X, Y, Z) with
+/// x = X/Z^2, y = Y/Z^3.
 struct JacPoint {
   U256 x, y, z;
   bool infinity = true;
 };
 
-}  // namespace
+/// 1·P .. 15·P: the addends for one 4-bit window digit (index digit - 1).
+using WindowRow = std::array<MontAffine, 15>;
 
-const U256& P256::p() noexcept { return kP; }
-const U256& P256::n() noexcept { return kN; }
-const U256& P256::b() noexcept { return kB; }
-const U256& P256::gx() noexcept { return kGx; }
-const U256& P256::gy() noexcept { return kGy; }
-
-U256 fp_add(const U256& a, const U256& b) noexcept { return mod_add(a, b, kP); }
-U256 fp_sub(const U256& a, const U256& b) noexcept { return mod_sub(a, b, kP); }
-
-U256 fp_reduce(const U512& v) noexcept {
-  // FIPS 186-4 D.2.3 fast reduction for p256 = 2^256 - 2^224 + 2^192 + 2^96 - 1.
-  // The 512-bit input is viewed as sixteen 32-bit words c[0..15].
-  std::uint32_t c[16];
-  for (int i = 0; i < 8; ++i) {
-    c[2 * i] = static_cast<std::uint32_t>(v.limbs[std::size_t(i)]);
-    c[2 * i + 1] = static_cast<std::uint32_t>(v.limbs[std::size_t(i)] >> 32);
-  }
-
-  // Accumulate the nine Solinas terms into signed per-word sums.
-  // Terms are written most-significant word first, as in the standard.
-  std::int64_t acc[8] = {};
-  const auto add_term = [&](int coeff, std::uint32_t w7, std::uint32_t w6,
-                            std::uint32_t w5, std::uint32_t w4,
-                            std::uint32_t w3, std::uint32_t w2,
-                            std::uint32_t w1, std::uint32_t w0) noexcept {
-    acc[7] += std::int64_t(coeff) * w7;
-    acc[6] += std::int64_t(coeff) * w6;
-    acc[5] += std::int64_t(coeff) * w5;
-    acc[4] += std::int64_t(coeff) * w4;
-    acc[3] += std::int64_t(coeff) * w3;
-    acc[2] += std::int64_t(coeff) * w2;
-    acc[1] += std::int64_t(coeff) * w1;
-    acc[0] += std::int64_t(coeff) * w0;
-  };
-
-  add_term(+1, c[7], c[6], c[5], c[4], c[3], c[2], c[1], c[0]);   // s1
-  add_term(+2, c[15], c[14], c[13], c[12], c[11], 0, 0, 0);       // s2
-  add_term(+2, 0, c[15], c[14], c[13], c[12], 0, 0, 0);           // s3
-  add_term(+1, c[15], c[14], 0, 0, 0, c[10], c[9], c[8]);         // s4
-  add_term(+1, c[8], c[13], c[15], c[14], c[13], c[11], c[10], c[9]);  // s5
-  add_term(-1, c[10], c[8], 0, 0, 0, c[13], c[12], c[11]);        // s6
-  add_term(-1, c[11], c[9], 0, 0, c[15], c[14], c[13], c[12]);    // s7
-  add_term(-1, c[12], 0, c[10], c[9], c[8], c[15], c[14], c[13]); // s8
-  add_term(-1, c[13], 0, c[11], c[10], c[9], 0, c[15], c[14]);    // s9
-
-  // Carry-propagate the signed word sums into a signed multiple-of-p offset.
-  // Each acc word is within +/- 6 * 2^32, so a 64-bit signed carry chain works.
-  std::int64_t carry = 0;
-  std::uint32_t words[8];
-  for (int i = 0; i < 8; ++i) {
-    std::int64_t cur = acc[i] + carry;
-    // Floor-divide by 2^32 so the remainder is non-negative.
-    carry = cur >> 32;
-    words[i] = static_cast<std::uint32_t>(cur & 0xffffffff);
-  }
-
-  U256 r;
-  for (int i = 0; i < 4; ++i) {
-    r.limbs[std::size_t(i)] =
-        std::uint64_t(words[2 * i]) | (std::uint64_t(words[2 * i + 1]) << 32);
-  }
-
-  // `carry` is now the signed count of 2^256 to add, i.e. r_full = r + carry * 2^256.
-  // Since 2^256 = p + (2^224 - 2^192 - 2^96 + 1), fold by adding/subtracting p.
-  while (carry > 0) {
-    U256 t;
-    const std::uint64_t overflow = u256_sub(r, kP, t);
-    if (overflow) {
-      // r < p: borrow consumed one unit of carry.
-      r = t;  // t = r - p + 2^256
-      --carry;
-    } else {
-      r = t;
-      // subtracting p from r did not consume the 2^256 carry
-    }
-  }
-  while (carry < 0) {
-    U256 t;
-    const std::uint64_t overflow = u256_add(r, kP, t);
-    r = t;
-    if (overflow) ++carry;
-  }
-  // Final canonicalisation into [0, p).
-  while (!u256_less(r, kP)) {
-    U256 t;
-    u256_sub(r, kP, t);
-    r = t;
-  }
-  return r;
+MontAffine to_mont_affine(const AffinePoint& pt) noexcept {
+  return MontAffine{to_mont<kFieldP>(pt.x), to_mont<kFieldP>(pt.y)};
 }
 
-U256 fp_mul(const U256& a, const U256& b) noexcept {
-  return fp_reduce(u256_mul(a, b));
-}
-
-U256 fp_sqr(const U256& a) noexcept { return fp_mul(a, a); }
-
-U256 fp_inv(const U256& a) noexcept {
-  // Fermat: a^(p-2) mod p, with the fast reduction.
-  U256 e;
-  u256_sub(kP, U256::from_u64(2), e);
-  U256 result = U256::one();
-  for (int i = e.top_bit(); i >= 0; --i) {
-    result = fp_sqr(result);
-    if (e.bit(i)) result = fp_mul(result, a);
-  }
-  return result;
-}
-
-namespace {
-
-JacPoint to_jacobian(const AffinePoint& pt) noexcept {
-  if (pt.infinity) return JacPoint{};
-  return JacPoint{pt.x, pt.y, U256::one(), false};
+JacPoint to_jacobian(const MontAffine& pt) noexcept {
+  return JacPoint{pt.x, pt.y, kFieldP.one, false};
 }
 
 AffinePoint to_affine(const JacPoint& pt) noexcept {
   if (pt.infinity) return AffinePoint::at_infinity();
-  const U256 z_inv = fp_inv(pt.z);
+  const U256 z_inv = mont_inv<kFieldP>(pt.z);
   const U256 z_inv2 = fp_sqr(z_inv);
   const U256 z_inv3 = fp_mul(z_inv2, z_inv);
-  return AffinePoint{fp_mul(pt.x, z_inv2), fp_mul(pt.y, z_inv3), false};
+  return AffinePoint{from_mont<kFieldP>(fp_mul(pt.x, z_inv2)),
+                     from_mont<kFieldP>(fp_mul(pt.y, z_inv3)), false};
 }
 
 /// Point doubling in Jacobian coordinates (a = -3 optimisation).
@@ -182,8 +93,7 @@ JacPoint jac_double(const JacPoint& pt) noexcept {
 }
 
 /// Mixed addition: Jacobian + affine (Z2 = 1).
-JacPoint jac_add_affine(const JacPoint& a, const AffinePoint& b) noexcept {
-  if (b.infinity) return a;
+JacPoint jac_add_affine(const JacPoint& a, const MontAffine& b) noexcept {
   if (a.infinity) return to_jacobian(b);
 
   const U256 z1z1 = fp_sqr(a.z);
@@ -212,35 +122,111 @@ JacPoint jac_add_affine(const JacPoint& a, const AffinePoint& b) noexcept {
   return out;
 }
 
+/// Fills row[j-1] = j·P for j = 1..15 and returns 16·P, all affine, with
+/// one field inversion shared by the sixteen points (Montgomery's trick).
+/// P has prime order n > 16, so no multiple is infinity.
+MontAffine fill_window_row(const MontAffine& p, WindowRow& row) noexcept {
+  std::array<JacPoint, 16> jac;
+  jac[0] = to_jacobian(p);
+  for (std::size_t i = 1; i < jac.size(); ++i)
+    jac[i] = jac_add_affine(jac[i - 1], p);
+
+  std::array<U256, 16> prefix;  // prefix[i] = Z_0 * ... * Z_i
+  prefix[0] = jac[0].z;
+  for (std::size_t i = 1; i < jac.size(); ++i)
+    prefix[i] = fp_mul(prefix[i - 1], jac[i].z);
+  U256 inv = mont_inv<kFieldP>(prefix.back());  // (Z_0 * ... * Z_i)^-1
+
+  MontAffine sixteen{};
+  for (std::size_t i = jac.size(); i-- > 0;) {
+    const U256 z_inv = i > 0 ? fp_mul(inv, prefix[i - 1]) : inv;
+    if (i > 0) inv = fp_mul(inv, jac[i].z);
+    const U256 z_inv2 = fp_sqr(z_inv);
+    const MontAffine pt{fp_mul(jac[i].x, z_inv2),
+                        fp_mul(jac[i].y, fp_mul(z_inv2, z_inv))};
+    if (i < row.size()) {
+      row[i] = pt;
+    } else {
+      sixteen = pt;
+    }
+  }
+  return sixteen;
+}
+
+/// comb[i][j-1] = j·16^i·G: 64 rows × 15 points × 64 B = 60 KiB. k·G is
+/// then the sum of one entry per nonzero 4-bit digit of k, no doublings.
+using CombTable = std::array<WindowRow, 64>;
+
+const CombTable& comb_table() noexcept {
+  static const CombTable table = [] {
+    CombTable t;
+    MontAffine base = to_mont_affine(AffinePoint{kGx, kGy, false});
+    for (WindowRow& row : t) base = fill_window_row(base, row);
+    return t;
+  }();
+  return table;
+}
+
+void add_digit(JacPoint& acc, const WindowRow& row, unsigned digit) noexcept {
+  if (digit != 0) acc = jac_add_affine(acc, row[digit - 1]);
+}
+
 }  // namespace
+
+const U256& P256::b() noexcept { return kB; }
+const U256& P256::gx() noexcept { return kGx; }
+const U256& P256::gy() noexcept { return kGy; }
 
 AffinePoint scalar_mul(const U256& k, const AffinePoint& point) noexcept {
   if (k.is_zero() || point.infinity) return AffinePoint::at_infinity();
+  WindowRow row;
+  fill_window_row(to_mont_affine(point), row);
   JacPoint acc{};  // infinity
-  for (int i = k.top_bit(); i >= 0; --i) {
-    acc = jac_double(acc);
-    if (k.bit(i)) acc = jac_add_affine(acc, point);
+  for (int w = 63; w >= 0; --w) {
+    for (int i = 0; i < 4; ++i) acc = jac_double(acc);
+    add_digit(acc, row, k.nibble(w));
   }
   return to_affine(acc);
 }
 
 AffinePoint scalar_mul_base(const U256& k) noexcept {
-  return scalar_mul(k, AffinePoint{kGx, kGy, false});
+  const CombTable& comb = comb_table();
+  JacPoint acc{};
+  for (int w = 0; w < 64; ++w) add_digit(acc, comb[std::size_t(w)], k.nibble(w));
+  return to_affine(acc);
+}
+
+AffinePoint double_scalar_mul_base(const U256& u1, const U256& u2,
+                                   const AffinePoint& q) noexcept {
+  if (q.infinity) return scalar_mul_base(u1);
+  const WindowRow& g_row = comb_table()[0];
+  WindowRow q_row;
+  fill_window_row(to_mont_affine(q), q_row);
+  JacPoint acc{};
+  for (int w = 63; w >= 0; --w) {
+    for (int i = 0; i < 4; ++i) acc = jac_double(acc);
+    add_digit(acc, g_row, u1.nibble(w));
+    add_digit(acc, q_row, u2.nibble(w));
+  }
+  return to_affine(acc);
 }
 
 AffinePoint point_add(const AffinePoint& a, const AffinePoint& b) noexcept {
   if (a.infinity) return b;
-  return to_affine(jac_add_affine(to_jacobian(a), b));
+  if (b.infinity) return a;
+  return to_affine(
+      jac_add_affine(to_jacobian(to_mont_affine(a)), to_mont_affine(b)));
 }
 
 bool is_on_curve(const AffinePoint& pt) noexcept {
   if (pt.infinity) return false;
-  if (!u256_less(pt.x, kP) || !u256_less(pt.y, kP)) return false;
+  if (!u256_less(pt.x, P256::p()) || !u256_less(pt.y, P256::p())) return false;
   // y^2 == x^3 - 3x + b
-  const U256 y2 = fp_sqr(pt.y);
-  const U256 x3 = fp_mul(fp_sqr(pt.x), pt.x);
-  const U256 three_x = fp_add(fp_add(pt.x, pt.x), pt.x);
-  const U256 rhs = fp_add(fp_sub(x3, three_x), kB);
+  const MontAffine m = to_mont_affine(pt);
+  const U256 y2 = fp_sqr(m.y);
+  const U256 x3 = fp_mul(fp_sqr(m.x), m.x);
+  const U256 three_x = fp_add(fp_add(m.x, m.x), m.x);
+  const U256 rhs = fp_add(fp_sub(x3, three_x), kBMont);
   return y2 == rhs;
 }
 
@@ -268,12 +254,9 @@ std::optional<AffinePoint> decode_point(ByteView data) {
 
 EcdhKeyPair ecdh_keypair_from_seed(ByteView seed32) {
   assert(seed32.size() == 32);
-  U256 d = U256::from_bytes(seed32);
   // Reduce into [1, n-1]. A zero scalar after reduction is vanishingly
   // unlikely; bump to 1 so the API has no failure mode.
-  U512 wide{};
-  for (int i = 0; i < 4; ++i) wide.limbs[std::size_t(i)] = d.limbs[std::size_t(i)];
-  d = u512_mod(wide, kN);
+  U256 d = reduce_once<kOrderN>(U256::from_bytes(seed32));
   if (d.is_zero()) d = U256::one();
   return EcdhKeyPair{d, scalar_mul_base(d)};
 }

@@ -1,5 +1,6 @@
-// NIST P-256 (secp256r1) elliptic-curve arithmetic: fast Solinas field
-// reduction, Jacobian point operations, scalar multiplication, and ECDH.
+// NIST P-256 (secp256r1) elliptic-curve arithmetic: Montgomery-form field
+// arithmetic, Jacobian point operations, windowed scalar multiplication,
+// and ECDH.
 //
 // This backs the paper's key-exchange design (§4.5): TLS 1.3 uses ECDH on
 // secp256r1 and ECDSA signatures with the secp256r1 signature algorithm.
@@ -12,16 +13,23 @@
 
 namespace smt::crypto {
 
-/// Curve parameters (FIPS 186-4, D.1.2.3).
+/// Montgomery constants for arithmetic modulo the field prime p and the
+/// group order n (FIPS 186-4, D.1.2.3).
+inline constexpr MontModulus kFieldP = make_mont_modulus(U256::from_hex(
+    "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff"));
+inline constexpr MontModulus kOrderN = make_mont_modulus(U256::from_hex(
+    "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551"));
+
+/// Curve parameters (FIPS 186-4, D.1.2.3), in plain (non-Montgomery) form.
 struct P256 {
-  static const U256& p() noexcept;  // field prime
-  static const U256& n() noexcept;  // group order
+  static const U256& p() noexcept { return kFieldP.m; }  // field prime
+  static const U256& n() noexcept { return kOrderN.m; }  // group order
   static const U256& b() noexcept;  // curve coefficient (a = -3)
   static const U256& gx() noexcept;
   static const U256& gy() noexcept;
 };
 
-/// Affine point; infinity is represented by `infinity == true`.
+/// Affine point in plain coordinates; infinity is `infinity == true`.
 struct AffinePoint {
   U256 x;
   U256 y;
@@ -31,21 +39,18 @@ struct AffinePoint {
   friend bool operator==(const AffinePoint&, const AffinePoint&) = default;
 };
 
-/// Field arithmetic modulo p with fast Solinas reduction.
-U256 fp_add(const U256& a, const U256& b) noexcept;
-U256 fp_sub(const U256& a, const U256& b) noexcept;
-U256 fp_mul(const U256& a, const U256& b) noexcept;
-U256 fp_sqr(const U256& a) noexcept;
-U256 fp_inv(const U256& a) noexcept;
-
-/// Reduces a 512-bit product modulo p (exposed for tests).
-U256 fp_reduce(const U512& v) noexcept;
-
-/// Scalar multiplication k * P. Returns infinity for k == 0 (mod n).
+/// Scalar multiplication k * P with 4-bit fixed windows over a per-call
+/// table of 1P..15P. Returns infinity for k == 0 (mod n).
 AffinePoint scalar_mul(const U256& k, const AffinePoint& point) noexcept;
 
-/// k * G for the standard base point.
+/// k * G for the standard base point: 64 additions from a 60 KiB table of
+/// j·16^i·G, built once per process on first use.
 AffinePoint scalar_mul_base(const U256& k) noexcept;
+
+/// u1 * G + u2 * Q with shared doublings (Straus–Shamir) and a single
+/// conversion to affine — the ECDSA verification equation.
+AffinePoint double_scalar_mul_base(const U256& u1, const U256& u2,
+                                   const AffinePoint& q) noexcept;
 
 /// Point addition (affine interface; handles doubling and infinity).
 AffinePoint point_add(const AffinePoint& a, const AffinePoint& b) noexcept;

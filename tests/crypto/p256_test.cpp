@@ -65,7 +65,7 @@ TEST(P256, ScalarDistributes) {
 TEST(P256, AddInverseGivesInfinity) {
   const AffinePoint g{P256::gx(), P256::gy(), false};
   AffinePoint neg_g = g;
-  neg_g.y = fp_sub(U256::zero(), g.y);
+  neg_g.y = mont_sub<kFieldP>(U256::zero(), g.y);
   EXPECT_TRUE(is_on_curve(neg_g));
   EXPECT_TRUE(point_add(g, neg_g).infinity);
 }
@@ -79,31 +79,19 @@ TEST(P256, FieldInverse) {
     // clearing the top limb's high bit suffices for a quick valid value).
     a.limbs[3] &= 0x7fffffffffffffffULL;
     if (a.is_zero()) continue;
-    EXPECT_EQ(fp_mul(a, fp_inv(a)), U256::one());
+    const U256 am = to_mont<kFieldP>(a);
+    EXPECT_EQ(from_mont<kFieldP>(mont_mul<kFieldP>(am, mont_inv<kFieldP>(am))),
+              U256::one());
   }
 }
 
-TEST(P256, FieldReduceIdentities) {
-  // Reducing p itself gives zero; reducing p+1 gives one.
-  U512 wide{};
-  for (int i = 0; i < 4; ++i) wide.limbs[std::size_t(i)] = P256::p().limbs[std::size_t(i)];
-  EXPECT_TRUE(fp_reduce(wide).is_zero());
+TEST(P256, MontgomeryFormIdentities) {
+  // p itself maps to zero; p + 1 round-trips to one.
+  EXPECT_TRUE(to_mont<kFieldP>(P256::p()).is_zero());
   U256 p_plus_1;
   u256_add(P256::p(), U256::one(), p_plus_1);  // p < 2^256 - 1, no overflow
-  for (int i = 0; i < 4; ++i)
-    wide.limbs[std::size_t(i)] = p_plus_1.limbs[std::size_t(i)];
-  EXPECT_EQ(fp_reduce(wide), U256::one());
-}
-
-TEST(P256, FieldReduceMatchesSlowPath) {
-  Rng rng(7);
-  for (int i = 0; i < 50; ++i) {
-    U256 a{}, b{};
-    for (auto& l : a.limbs) l = rng.next();
-    for (auto& l : b.limbs) l = rng.next();
-    const U512 prod = u256_mul(a, b);
-    EXPECT_EQ(fp_reduce(prod), u512_mod(prod, P256::p())) << "iteration " << i;
-  }
+  EXPECT_EQ(from_mont<kFieldP>(to_mont<kFieldP>(p_plus_1)), U256::one());
+  EXPECT_EQ(to_mont<kFieldP>(U256::one()), kFieldP.one);
 }
 
 TEST(P256, EncodeDecodeRoundTrip) {
